@@ -1,11 +1,19 @@
 """The execution facade: specs in, typed results out.
 
 A :class:`Session` owns everything that makes repeated experiments
-cheap — the parallel :class:`~repro.platforms.runner.GridRunner` with
-its per-dataset topology caches, and an optional persistent
-:class:`~repro.platforms.store.ArtifactStore` of schema-versioned
-:class:`~repro.api.results.CellResult` payloads — and exposes two ways
-to execute an :class:`~repro.api.spec.ExperimentSpec`:
+cheap, and is the only owner of cached results:
+
+- one parallel :class:`~repro.platforms.runner.GridRunner` per
+  workspace, with its per-dataset topology caches (the runner itself
+  is a pure executor and keeps no results);
+- the in-memory memo of typed :class:`~repro.api.results.CellResult`
+  objects;
+- an optional persistent :class:`~repro.platforms.store.ArtifactStore`
+  of schema-versioned ``CellResult`` payloads.
+
+Every cell has one address, the source of both its store key and the
+service's dedupe key (:meth:`Session.cell_content_key`). A session
+exposes two ways to execute an :class:`~repro.api.spec.ExperimentSpec`:
 
 - :meth:`Session.run` blocks and returns a complete
   :class:`~repro.api.results.GridResult` in the spec's canonical cell
@@ -32,7 +40,7 @@ from repro.api.spec import ExperimentSpec, GridKey
 from repro.graph.hetero import HeteroGraph
 from repro.graph.semantic import SemanticGraph
 from repro.platforms.failures import CellFailure, RetryPolicy
-from repro.platforms.runner import GridRunner
+from repro.platforms.runner import GridRunner, resolve_executor
 from repro.platforms.store import ArtifactStore, config_digest
 from repro.scenarios import workload_digest
 
@@ -81,11 +89,8 @@ class Session:
         jobs: int = 1,
         executor: str = "thread",
     ) -> None:
-        if executor not in ("thread", "process", "auto"):
-            raise ValueError(
-                "executor must be one of ('thread', 'process', 'auto'), "
-                f"got {executor!r}"
-            )
+        # Validates eagerly; "auto" still resolves per fan-out.
+        resolve_executor(executor, 1)
         self.spec = spec if spec is not None else ExperimentSpec()
         self.store = store
         self.jobs = max(1, int(jobs))
@@ -121,11 +126,7 @@ class Session:
             if workspace is None:
                 workspace = _Workspace(
                     runner=GridRunner(
-                        spec.context(),
-                        seed=spec.seed,
-                        scale=spec.scale,
-                        jobs=self.jobs,
-                        executor=self.executor,
+                        spec.context(), seed=spec.seed, scale=spec.scale
                     )
                 )
                 self._workspaces[key] = workspace
@@ -151,22 +152,33 @@ class Session:
     # Store plumbing (typed, schema-versioned payloads)
     # ------------------------------------------------------------------
 
-    def _cell_store_key(
+    def _cell_address(
         self, workspace: _Workspace, spec: ExperimentSpec, key: GridKey
     ) -> str:
-        platform_name, model, dataset = key
+        """Digest of everything one cell's result depends on.
+
+        The single source of both the store key and
+        :meth:`cell_content_key`. ``workload_digest`` covers the
+        resolved generation recipe, so a changed scenario parameter
+        (or catalog recipe edit) is a new address even when the
+        dataset name text is unchanged.
+        """
+        platform_name, _model, dataset = key
         platform = workspace.runner.platform(platform_name)
-        # workload_digest covers the resolved generation recipe, so a
-        # changed scenario parameter (or catalog recipe edit) is a
-        # store miss even when the dataset name text is unchanged.
-        digest = config_digest(
+        return config_digest(
             spec.seed,
             spec.scale,
             workload_digest(dataset, spec.seed, spec.scale),
             *platform.digest_sources(),
             _CELL_SCHEMA,
         )
-        return self.store.key_for(platform_name, model, dataset, digest)
+
+    def _cell_store_key(
+        self, workspace: _Workspace, spec: ExperimentSpec, key: GridKey
+    ) -> str:
+        return self.store.key_for(
+            *key, self._cell_address(workspace, spec, key)
+        )
 
     def _peek(
         self, workspace: _Workspace, spec: ExperimentSpec, key: GridKey
@@ -187,27 +199,6 @@ class Session:
         with workspace.lock:
             return workspace.cells.setdefault(key, result)
 
-    def _compute(
-        self,
-        workspace: _Workspace,
-        spec: ExperimentSpec,
-        key: GridKey,
-        *,
-        retry: RetryPolicy | None = None,
-        on_error: str = "raise",
-    ) -> CellResult:
-        """Simulate one cell, persist and memoize its typed result.
-
-        With ``on_error="collect"`` a terminally failing cell comes
-        back as ``CellResult(status="failed")`` carrying the typed
-        :class:`CellFailure`; failures are neither memoized nor
-        persisted, so a later run retries the cell fresh.
-        """
-        outcome = workspace.runner.run_cell(
-            *key, probe_store=False, retry=retry, on_error=on_error
-        )
-        return self._finalize(workspace, spec, key, outcome)
-
     def _finalize(
         self,
         workspace: _Workspace,
@@ -219,7 +210,10 @@ class Session:
 
         Always runs in the parent process — also for cells simulated on
         the process backend — so the store's bytes are identical no
-        matter which executor produced the report.
+        matter which executor produced the report. A
+        :class:`CellFailure` becomes ``CellResult(status="failed")``
+        and is neither memoized nor persisted, so a later run retries
+        the cell fresh.
         """
         if isinstance(outcome, CellFailure):
             return CellResult.from_failure(outcome)
@@ -271,7 +265,8 @@ class Session:
         key: GridKey = (platform, model, dataset)
         result = self._peek(workspace, spec, key)
         if result is None:
-            result = self._compute(workspace, spec, key)
+            outcome = workspace.runner.run_cell(*key)
+            result = self._finalize(workspace, spec, key, outcome)
         return result
 
     # ------------------------------------------------------------------
@@ -291,16 +286,7 @@ class Session:
         """
         spec = self.spec if spec is None else spec
         workspace = self._workspace(spec)
-        platform_name, model, dataset = key
-        platform = workspace.runner.platform(platform_name)
-        digest = config_digest(
-            spec.seed,
-            spec.scale,
-            workload_digest(dataset, spec.seed, spec.scale),
-            *platform.digest_sources(),
-            _CELL_SCHEMA,
-        )
-        return config_digest(platform_name, model, dataset, digest)
+        return config_digest(*key, self._cell_address(workspace, spec, key))
 
     def peek_cell(
         self, key: GridKey, *, spec: ExperimentSpec | None = None

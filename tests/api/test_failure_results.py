@@ -143,6 +143,21 @@ class TestGridDegradation:
         healed = Session(spec, store=ArtifactStore(tmp_path)).run()
         assert healed.ok
 
+    def test_failed_cells_are_not_memoized(self):
+        spec = tiny_spec()
+        session = Session(spec)
+        with FaultPlan(
+            [FaultRule("platform.simulate", match="uniform")], seed=3
+        ):
+            grid = session.run(on_error="collect")
+        failed = {cell.key for cell in grid.failures}
+        assert failed
+        memo = session._workspace(spec).cells
+        assert failed.isdisjoint(memo)
+        # The same session reruns exactly the casualties, fault-free.
+        assert session.run().ok
+        assert failed <= set(memo)
+
     def test_on_error_validated(self):
         with pytest.raises(ValueError, match="on_error"):
             Session(tiny_spec()).run(on_error="ignore")
@@ -162,7 +177,7 @@ class TestStoreStats:
         assert stats["quarantined"] == 0
         assert set(stats) == {
             "hits", "misses", "puts", "quarantined", "evicted",
-            "read_errors", "index_retries",
+            "read_errors",
         }
         warm = Session(spec, store=ArtifactStore(tmp_path))
         warm.run()

@@ -22,6 +22,14 @@ def tiny_runner(**kwargs) -> GridRunner:
     return GridRunner(seed=5, scale=1.0, **kwargs)
 
 
+def run_collect(runner, cells, *, on_error="collect"):
+    """Warm, then fan out serially: ``{cell: report or CellFailure}``."""
+    runner.warm_artifacts([dataset for _, _, dataset in cells], errors=on_error)
+    return dict(
+        runner.run_cells(cells, jobs=1, executor="thread", on_error=on_error)
+    )
+
+
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
@@ -181,7 +189,6 @@ class TestRunCellIsolation:
         assert isinstance(outcome, CellFailure)
         report = runner.run_cell("t4", "rgcn", TINY)  # fresh, fault-free
         assert not isinstance(report, CellFailure)
-        assert ("t4", "rgcn", TINY) in runner.results
 
     def test_unknown_platform_is_a_config_error_even_in_collect(self):
         runner = tiny_runner()
@@ -193,7 +200,14 @@ class TestRunCellIsolation:
         with pytest.raises(ValueError, match="on_error"):
             runner.run_cell("t4", "rgcn", TINY, on_error="ignore")
         with pytest.raises(ValueError, match="on_error"):
-            runner.run_grid(("t4",), ("rgcn",), (TINY,), on_error="ignore")
+            list(
+                runner.run_cells(
+                    [("t4", "rgcn", TINY)],
+                    jobs=1,
+                    executor="thread",
+                    on_error="ignore",
+                )
+            )
         with pytest.raises(ValueError, match="errors"):
             runner.warm_artifacts([TINY], errors="ignore")
 
@@ -232,11 +246,11 @@ class TestWarmArtifacts:
         assert isinstance(failures["no-such-dataset"], ValueError)
 
 
-class TestRunGridIsolation:
+class TestRunCellsIsolation:
     def test_one_bad_dataset_costs_only_its_cells(self):
         runner = tiny_runner()
-        grid = runner.run_grid(
-            ("t4",), ("rgcn",), (TINY, "no-such-dataset"), on_error="collect"
+        grid = run_collect(
+            runner, [("t4", "rgcn", TINY), ("t4", "rgcn", "no-such-dataset")]
         )
         assert len(grid) == 2
         good = grid[("t4", "rgcn", TINY)]
@@ -251,8 +265,8 @@ class TestRunGridIsolation:
             [FaultRule("platform.simulate", match=TINY2)]
         )
         with plan:
-            grid = runner.run_grid(
-                ("t4",), ("rgcn",), (TINY, TINY2), on_error="collect"
+            grid = run_collect(
+                runner, [("t4", "rgcn", TINY), ("t4", "rgcn", TINY2)]
             )
         assert not isinstance(grid[("t4", "rgcn", TINY)], CellFailure)
         assert isinstance(grid[("t4", "rgcn", TINY2)], CellFailure)
@@ -262,4 +276,4 @@ class TestRunGridIsolation:
         runner = tiny_runner()
         with FaultPlan([FaultRule("platform.simulate")]):
             with pytest.raises(InjectedFault):
-                runner.run_grid(("t4",), ("rgcn",), (TINY,))
+                run_collect(runner, [("t4", "rgcn", TINY)], on_error="raise")

@@ -68,6 +68,12 @@ class TestResolvers:
         with pytest.raises(ValueError, match="executor"):
             resolve_executor("fibers", 4)
 
+    def test_session_validates_executor_eagerly(self):
+        with pytest.raises(ValueError, match="executor"):
+            Session(tiny_spec(), executor="fibers")
+        # "auto" stays symbolic until a fan-out knows its job count.
+        assert Session(tiny_spec(), executor="auto").executor == "auto"
+
     def test_jobs_accepts_auto_and_numbers(self):
         import os
 
@@ -83,17 +89,20 @@ class TestResolvers:
 
 
 class TestRunnerProcessBackend:
-    def make_runner(self, **kwargs):
+    CELLS = [(p, "rgcn", d) for p in ("t4", "hihgnn") for d in TINY_DATASETS]
+
+    def make_runner(self):
         context = PlatformContext(model_config=TINY_MODEL)
-        kwargs.setdefault("seed", 7)
-        kwargs.setdefault("scale", 1.0)
-        return GridRunner(context, **kwargs)
+        return GridRunner(context, seed=7, scale=1.0)
+
+    def run_all(self, runner, *, jobs, executor):
+        runner.warm_artifacts([c[2] for c in self.CELLS])
+        return list(runner.run_cells(self.CELLS, jobs=jobs, executor=executor))
 
     def test_process_grid_equals_serial(self):
-        platforms, models = ("t4", "hihgnn"), ("rgcn",)
-        serial = self.make_runner().run_grid(platforms, models, TINY_DATASETS)
-        worker = self.make_runner(executor="process")
-        parallel = worker.run_grid(platforms, models, TINY_DATASETS, jobs=2)
+        serial = dict(self.run_all(self.make_runner(), jobs=1, executor="thread"))
+        worker = self.make_runner()
+        parallel = dict(self.run_all(worker, jobs=2, executor="process"))
         worker.close()
         assert serial.keys() == parallel.keys()
         for key, report in serial.items():
@@ -102,14 +111,10 @@ class TestRunnerProcessBackend:
             ), key
 
     def test_run_cells_yields_each_cell_once(self):
-        runner = self.make_runner(executor="process")
-        cells = [
-            (p, "rgcn", d) for p in ("t4", "hihgnn") for d in TINY_DATASETS
-        ]
-        runner.warm_artifacts([c[2] for c in cells])
-        seen = list(runner.run_cells(cells, jobs=2))
+        runner = self.make_runner()
+        seen = self.run_all(runner, jobs=2, executor="process")
         runner.close()
-        assert sorted(key for key, _ in seen) == sorted(cells)
+        assert sorted(key for key, _ in seen) == sorted(self.CELLS)
 
 
 class TestSessionProcessBackend:

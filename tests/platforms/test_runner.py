@@ -1,10 +1,11 @@
-"""GridRunner: parallel/serial equality, memoization, store wiring."""
+"""GridRunner as a pure executor; Session owns the memo and the store."""
 
 import dataclasses
 
 import pytest
 
 from repro.analysis.experiments import EvaluationConfig, EvaluationSuite
+from repro.api import ExperimentSpec, Session
 from repro.models.base import ModelConfig
 from repro.platforms import ArtifactStore, GridRunner, PlatformContext
 
@@ -12,6 +13,7 @@ SMALL_MODEL = ModelConfig(hidden_dim=32, num_heads=4, embed_dim=8)
 PLATFORMS = ("t4", "a100", "hihgnn", "hihgnn+gdr")
 MODELS = ("rgcn",)
 DATASETS = ("acm", "imdb")
+CELLS = [(p, m, d) for p in PLATFORMS for m in MODELS for d in DATASETS]
 
 
 def make_runner(**kwargs):
@@ -19,6 +21,25 @@ def make_runner(**kwargs):
     kwargs.setdefault("seed", 3)
     kwargs.setdefault("scale", 0.08)
     return GridRunner(context, **kwargs)
+
+
+def small_spec(**overrides) -> ExperimentSpec:
+    params = dict(
+        platforms=("hihgnn",),
+        models=MODELS,
+        datasets=("acm",),
+        seed=3,
+        scale=0.08,
+        model_config=SMALL_MODEL,
+    )
+    params.update(overrides)
+    return ExperimentSpec(**params)
+
+
+def run_all(runner, cells, *, jobs=1, executor="thread"):
+    """Warm, then fan out: the sequence Session.run_iter drives."""
+    runner.warm_artifacts([dataset for _, _, dataset in cells], jobs=jobs)
+    return dict(runner.run_cells(cells, jobs=jobs, executor=executor))
 
 
 def report_fingerprint(report):
@@ -34,100 +55,101 @@ def report_fingerprint(report):
     )
 
 
+def cell_addresses(tmp_path, spec, key=("hihgnn", "rgcn", "acm")):
+    """``(store key, content key)`` of one cell under ``spec``."""
+    session = Session(spec, store=ArtifactStore(tmp_path))
+    store_key = session._cell_store_key(session._workspace(spec), spec, key)
+    return store_key, session.cell_content_key(key)
+
+
 class TestGridRunner:
     def test_parallel_equals_serial(self):
-        serial = make_runner().run_grid(PLATFORMS, MODELS, DATASETS)
-        parallel = make_runner().run_grid(
-            PLATFORMS, MODELS, DATASETS, jobs=4
-        )
-        assert serial.keys() == parallel.keys()
+        serial = run_all(make_runner(), CELLS)
+        parallel = run_all(make_runner(), CELLS, jobs=4)
+        assert serial.keys() == parallel.keys() == set(CELLS)
         for key, report in serial.items():
             assert report_fingerprint(report) == report_fingerprint(
                 parallel[key]
             ), key
 
-    def test_results_memoized(self):
+    def test_every_call_simulates(self):
+        """The runner keeps no results; the memo lives in Session."""
         runner = make_runner()
         first = runner.run_cell("t4", "rgcn", "acm")
-        assert runner.run_cell("t4", "rgcn", "acm") is first
-        grid = runner.run_grid(("t4",), MODELS, ("acm",))
-        assert grid[("t4", "rgcn", "acm")] is first
+        second = runner.run_cell("t4", "rgcn", "acm")
+        assert second is not first
+        assert report_fingerprint(second) == report_fingerprint(first)
 
     def test_duplicate_cells_deduped(self):
-        runner = make_runner()
-        grid = runner.run_grid(("t4", "t4"), MODELS, ("acm", "acm"), jobs=2)
-        assert list(grid) == [("t4", "rgcn", "acm")]
-        assert len(runner.results) == 1
+        spec = small_spec(platforms=("t4", "t4"), datasets=("acm", "acm"))
+        session = Session(spec, jobs=2)
+        grid = session.run()
+        assert [cell.key for cell in grid.cells] == [("t4", "rgcn", "acm")]
+        assert list(session._workspace(spec).cells) == [("t4", "rgcn", "acm")]
 
     def test_unknown_platform_fails_before_any_work(self):
-        runner = make_runner()
+        session = Session(small_spec())
         with pytest.raises(ValueError, match="unknown platform"):
-            runner.run_grid(("t4", "nope"), MODELS, DATASETS)
-        assert not runner.results
+            session.cell("nope", "rgcn", "acm")
+        runner = session.runner
+        with pytest.raises(ValueError, match="unknown platform"):
+            list(
+                runner.run_cells(
+                    [("nope", "rgcn", "acm")], jobs=1, executor="thread"
+                )
+            )
+        assert not runner._graphs
+        assert not session._workspace(session.spec).cells
 
     def test_artifacts_shared_across_platforms(self):
         runner = make_runner()
-        runner.run_grid(("t4", "hihgnn"), MODELS, ("acm",), jobs=2)
+        run_all(
+            runner, [("t4", "rgcn", "acm"), ("hihgnn", "rgcn", "acm")], jobs=2
+        )
         assert runner.artifacts("acm") is runner.artifacts("acm")
         sgs = runner.artifacts("acm").semantic_graphs
         for sg in sgs:
             assert sg._na_artifact is not None
 
-    def test_store_round_trip_counts(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        cold = make_runner(store=store)
-        cold.run_grid(PLATFORMS, MODELS, DATASETS, jobs=2)
-        cells = len(PLATFORMS) * len(MODELS) * len(DATASETS)
-        assert store.stats.misses == cells
-        assert store.stats.puts == cells
-        assert store.stats.hits == 0
 
-        warm_store = ArtifactStore(tmp_path)
-        warm = make_runner(store=warm_store)
-        results = warm.run_grid(PLATFORMS, MODELS, DATASETS)
-        # Every cell is served from the store: no simulation work, no
-        # graph generation, no topology artifacts.
-        assert warm_store.stats.hits == cells
-        assert warm_store.stats.misses == 0
-        assert not warm._graphs
-        assert not warm._artifacts
-        for key, report in results.items():
-            assert report_fingerprint(report) == report_fingerprint(
-                cold.results[key]
-            )
-
+class TestSessionStoreKeys:
     def test_store_entries_keyed_by_config(self, tmp_path):
+        spec = small_spec()
         store = ArtifactStore(tmp_path)
-        make_runner(store=store).run_cell("hihgnn", "rgcn", "acm")
+        Session(spec, store=store).run()
         assert store.stats.misses == 1
 
         # Same config: hit. Different accelerator config: miss.
         hit = ArtifactStore(tmp_path)
-        make_runner(store=hit).run_cell("hihgnn", "rgcn", "acm")
+        Session(spec, store=hit).run()
         assert (hit.stats.hits, hit.stats.misses) == (1, 0)
 
+        small = dataclasses.replace(spec.accelerator, na_buffer_bytes=1 << 20)
+        changed = spec.replace(accelerator=small)
         miss = ArtifactStore(tmp_path)
-        small = dataclasses.replace(
-            PlatformContext().accelerator, na_buffer_bytes=1 << 20
-        )
-        runner = GridRunner(
-            PlatformContext(accelerator=small, model_config=SMALL_MODEL),
-            seed=3,
-            scale=0.08,
-            store=miss,
-        )
-        runner.run_cell("hihgnn", "rgcn", "acm")
+        Session(changed, store=miss).run()
         assert (miss.stats.hits, miss.stats.misses) == (0, 1)
 
+        # The service's dedupe key moves with the store key.
+        base = cell_addresses(tmp_path, spec)
+        assert cell_addresses(tmp_path, spec) == base
+        other = cell_addresses(tmp_path, changed)
+        assert other[0] != base[0]
+        assert other[1] != base[1]
+
     def test_store_entries_keyed_by_seed_and_scale(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        make_runner(store=store).run_cell("t4", "rgcn", "acm")
-        other = ArtifactStore(tmp_path)
-        make_runner(store=other, seed=4).run_cell("t4", "rgcn", "acm")
-        assert other.stats.hits == 0
-        third = ArtifactStore(tmp_path)
-        make_runner(store=third, scale=0.1).run_cell("t4", "rgcn", "acm")
-        assert third.stats.hits == 0
+        spec = small_spec(platforms=("t4",))
+        Session(spec, store=ArtifactStore(tmp_path)).run()
+        base = cell_addresses(tmp_path, spec, ("t4", "rgcn", "acm"))
+        for variant in (spec.replace(seed=4), spec.replace(scale=0.1)):
+            other = ArtifactStore(tmp_path)
+            Session(variant, store=other).run()
+            assert other.stats.hits == 0
+            store_key, content_key = cell_addresses(
+                tmp_path, variant, ("t4", "rgcn", "acm")
+            )
+            assert store_key != base[0]
+            assert content_key != base[1]
 
 
 class TestSuiteFacade:

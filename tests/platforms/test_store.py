@@ -1,9 +1,14 @@
 """ArtifactStore: addressing, hit/miss/invalidations, robustness."""
 
-import numpy as np
+import multiprocessing
+import sys
 
+import numpy as np
+import pytest
+
+from repro.api import ExperimentSpec, Session
 from repro.graph.hetero import HeteroGraph, Relation
-from repro.platforms import ArtifactStore, GridRunner, config_digest
+from repro.platforms import ArtifactStore, config_digest
 from repro.platforms.store import code_version
 from repro.scenarios import ScenarioParam, register_scenario, unregister_scenario
 
@@ -115,41 +120,49 @@ class TestStorage:
 class TestScenarioInvalidation:
     """A changed scenario parameter (scale/skew/seed) must be a miss.
 
-    The cell address embeds :func:`repro.scenarios.workload_digest` —
+    Session's cell address (the digest behind both the store key and
+    the service's content key) embeds
+    :func:`repro.scenarios.workload_digest` —
     a digest of the *resolved* generation recipe — so invalidation
     holds even when the textual dataset name is unchanged (most
     dangerously: when a family's parameter *default* changes).
     """
 
-    def _key(self, tmp_path, dataset, *, seed=1, scale=1.0):
-        runner = GridRunner(
-            seed=seed, scale=scale, store=ArtifactStore(tmp_path)
+    def _key(self, dataset, *, seed=1, scale=1.0):
+        spec = ExperimentSpec(
+            platforms=("t4",),
+            models=("rgcn",),
+            datasets=(dataset,),
+            seed=seed,
+            scale=scale,
         )
-        return runner._store_key(runner.platform("t4"), "rgcn", dataset)
+        session = Session(spec)
+        key = ("t4", "rgcn", spec.datasets[0])
+        return session._cell_address(session._workspace(spec), spec, key)
 
-    def test_changed_sweep_parameter_is_a_new_key(self, tmp_path):
-        base = self._key(tmp_path, "skew:exponent=1.0")
-        assert self._key(tmp_path, "skew:exponent=1.5") != base
-        assert self._key(tmp_path, "skew:exponent=1.0,num_src=4096") != base
+    def test_changed_sweep_parameter_is_a_new_key(self):
+        base = self._key("skew:exponent=1.0")
+        assert self._key("skew:exponent=1.5") != base
+        assert self._key("skew:exponent=1.0,num_src=4096") != base
 
-    def test_changed_seed_and_scale_are_new_keys(self, tmp_path):
-        base = self._key(tmp_path, "skew:exponent=1.0")
-        assert self._key(tmp_path, "skew:exponent=1.0", seed=2) != base
-        assert self._key(tmp_path, "skew:exponent=1.0", scale=0.5) != base
+    def test_changed_seed_and_scale_are_new_keys(self):
+        base = self._key("skew:exponent=1.0")
+        assert self._key("skew:exponent=1.0", seed=2) != base
+        assert self._key("skew:exponent=1.0", scale=0.5) != base
 
-    def test_same_sweep_point_is_the_same_key(self, tmp_path):
-        assert self._key(tmp_path, "skew:exponent=1.0") == self._key(
-            tmp_path, "skew:exponent=1.0"
+    def test_same_sweep_point_is_the_same_key(self):
+        assert self._key("skew:exponent=1.0") == self._key(
+            "skew:exponent=1.0"
         )
 
-    def test_catalog_datasets_keep_distinct_keys(self, tmp_path):
-        assert self._key(tmp_path, "acm") != self._key(tmp_path, "imdb")
-        assert self._key(tmp_path, "acm") == self._key(tmp_path, "acm")
-        assert self._key(tmp_path, "acm", seed=2) != self._key(
-            tmp_path, "acm"
+    def test_catalog_datasets_keep_distinct_keys(self):
+        assert self._key("acm") != self._key("imdb")
+        assert self._key("acm") == self._key("acm")
+        assert self._key("acm", seed=2) != self._key(
+            "acm"
         )
 
-    def test_changed_family_default_is_a_miss(self, tmp_path):
+    def test_changed_family_default_is_a_miss(self):
         """Same name, silently changed default: the dangerous case."""
 
         def make(default):
@@ -165,12 +178,118 @@ class TestScenarioInvalidation:
 
         make(8)
         try:
-            old_key = self._key(tmp_path, "tmp-inval")
+            old_key = self._key("tmp-inval")
         finally:
             unregister_scenario("tmp-inval")
         make(16)
         try:
-            new_key = self._key(tmp_path, "tmp-inval")
+            new_key = self._key("tmp-inval")
         finally:
             unregister_scenario("tmp-inval")
         assert old_key != new_key
+
+
+def _contending_writer(root: str, worker: int, count: int) -> None:
+    store = ArtifactStore(root, fsync=False)
+    for n in range(count):
+        # Every shard ("k0".."k2") takes writes from every worker.
+        store.save(f"k{n % 3}-w{worker}-{n}", {"worker": worker, "n": n})
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX store semantics")
+class TestWriterContention:
+    def test_forked_writers_lose_no_updates(self, tmp_path):
+        """N processes saving distinct keys into shared shards: every
+        entry must commit, load back intact and pass the scrub."""
+        workers, per_worker = 4, 12
+        root = str(tmp_path / "store")
+        ArtifactStore(root, fsync=False)  # create the directory once
+        ctx = multiprocessing.get_context("fork")
+        procs = [
+            ctx.Process(
+                target=_contending_writer, args=(root, w, per_worker)
+            )
+            for w in range(workers)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+            assert proc.exitcode == 0
+
+        store = ArtifactStore(root, fsync=False)
+        expected = {
+            f"k{n % 3}-w{w}-{n}": {"worker": w, "n": n}
+            for w in range(workers)
+            for n in range(per_worker)
+        }
+        assert len(store) == len(expected)
+        for key, payload in expected.items():
+            assert store.load(key) == payload
+        assert store.verify()["ok"] == len(expected)
+        assert store.disk_stats()["tmp_files"] == 0
+
+
+class TestEntryFiles:
+    def test_entry_bytes_independent_of_save_order(self, tmp_path):
+        """Stores filled in different orders hold byte-identical entry
+        trees: the tree is a pure function of the entry set."""
+        keys = [f"{i:02d}" + "cd" * 31 for i in range(4)]
+
+        def tree(root, order):
+            store = ArtifactStore(root, fsync=False)
+            for key in order:
+                store.save(key, {"key": key}, schema="s")
+            return {
+                str(path.relative_to(store.root)): path.read_bytes()
+                for path in sorted(store.root.rglob("*.pkl"))
+            }
+
+        forward = tree(tmp_path / "a", keys)
+        assert forward == tree(tmp_path / "b", list(reversed(keys)))
+        assert len(forward) == len(keys)
+
+
+class TestOldStoreDirectories:
+    @pytest.mark.parametrize(
+        "index_text",
+        [
+            '{"magic": "repro-index", "version": 3, "entries": {}}',
+            "{not json",
+            "",
+        ],
+        ids=["catalog", "torn", "empty"],
+    )
+    def test_leftover_index_files_change_nothing(self, tmp_path, index_text):
+        """A root holding an earlier version's ``index.json``,
+        ``.index.lock`` and ``*.idx.tmp`` reads exactly like one
+        without them: entry files are the whole store."""
+        keys = [f"{i:02d}" + "ab" * 31 for i in range(3)]
+
+        def fill(root):
+            store = ArtifactStore(root, fsync=False)
+            for i, key in enumerate(keys):
+                store.save(key, {"i": i}, schema="s")
+            return store.root
+
+        clean = fill(tmp_path / "clean")
+        old = fill(tmp_path / "old")
+        (old / "index.json").write_text(index_text)
+        (old / ".index.lock").touch()
+        (old / "x.idx.tmp").write_bytes(b"partial index write")
+
+        def observe(root):
+            store = ArtifactStore(root, fsync=False)
+            disk = store.disk_stats()
+            del disk["root"]
+            return (
+                len(store),
+                [store.load(key, schema="s") for key in keys],
+                store.verify(),
+                disk,
+            )
+
+        assert observe(old) == observe(clean)
+        # No migration: the leftovers stay where they were.
+        assert (old / "index.json").exists()
+        assert (old / "x.idx.tmp").exists()

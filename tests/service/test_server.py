@@ -9,6 +9,7 @@ rejecting queued and new work with typed errors.
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 import time
@@ -106,6 +107,36 @@ class TestEndpoints:
         )
         assert raw.startswith(b"HTTP/1.1 400 ")
         assert b'"code":"bad-request"' in raw
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n",
+            b"POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n",
+            # int() would read "1_0" as 10 and wait for a body.
+            b"POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: 1_0\r\n\r\n",
+            # One header line past asyncio's 64 KiB stream-reader limit.
+            b"GET /health HTTP/1.1\r\nX-Big: "
+            + b"a" * (70 * 1024)
+            + b"\r\n\r\n",
+        ],
+        ids=[
+            "non-numeric-length",
+            "negative-length",
+            "underscored-length",
+            "head-over-reader-limit",
+        ],
+    )
+    def test_malformed_head_is_typed_400(self, launch, caplog, head):
+        server = launch(jobs=1)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            raw = _raw_request(server, head)
+            # A later request on a fresh connection: the server is up,
+            # and the failed handler has long finished (and logged).
+            assert client_for(server).health()["status"] == "ok"
+        assert raw.startswith(b"HTTP/1.1 400 ")
+        assert b'"code":"bad-request"' in raw
+        assert "Unhandled exception" not in caplog.text
 
     def test_unknown_order_param_rejected(self, launch):
         server = launch(jobs=1)
