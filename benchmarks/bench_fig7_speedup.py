@@ -9,44 +9,43 @@ DBLP (the thrashing-heaviest dataset).
 """
 
 from benchmarks.conftest import BENCH_JOBS, run_once
-from repro.analysis.experiments import PLATFORMS
 from repro.analysis.report import ascii_table
+from repro.api.spec import DEFAULT_PLATFORMS
 
 PAPER_GEOMEAN = {"a100": 4.7, "hihgnn": 38.7, "hihgnn+gdr": 68.8}
 
 
-def test_fig7_speedup(benchmark, suite):
-    def compute():
-        suite.run_grid(jobs=BENCH_JOBS)
-        return suite.figure7()
-
-    table = run_once(benchmark, compute)
+def test_fig7_speedup(benchmark, session):
+    table = run_once(
+        benchmark, lambda: session.run(jobs=BENCH_JOBS).speedup("t4")
+    )
     rows = []
-    for model in suite.config.models:
-        for dataset in suite.config.datasets:
+    for model in session.spec.models:
+        for dataset in session.spec.datasets:
             cell = table[model][dataset]
             rows.append([model, dataset] +
-                        [f"{cell[p]:.2f}" for p in PLATFORMS])
+                        [f"{cell[p]:.2f}" for p in DEFAULT_PLATFORMS])
     geo = table["GEOMEAN"]["all"]
-    rows.append(["GEOMEAN", "all"] + [f"{geo[p]:.2f}" for p in PLATFORMS])
+    rows.append(["GEOMEAN", "all"]
+                + [f"{geo[p]:.2f}" for p in DEFAULT_PLATFORMS])
     rows.append(["paper", "geomean", "1.00",
                  str(PAPER_GEOMEAN["a100"]), str(PAPER_GEOMEAN["hihgnn"]),
                  str(PAPER_GEOMEAN["hihgnn+gdr"])])
     print()
-    print(ascii_table(["model", "dataset"] + list(PLATFORMS), rows,
+    print(ascii_table(["model", "dataset"] + list(DEFAULT_PLATFORMS), rows,
                       title="Fig. 7: speedup over T4"))
 
     # Shape: strict platform ordering on the geomean.
     assert 1.0 < geo["a100"] < geo["hihgnn"] <= geo["hihgnn+gdr"]
     # GDR helps every single configuration.
-    for model in suite.config.models:
-        for dataset in suite.config.datasets:
+    for model in session.spec.models:
+        for dataset in session.spec.datasets:
             cell = table[model][dataset]
             assert cell["hihgnn+gdr"] >= cell["hihgnn"] * 0.999
     # GDR's edge over HiHGNN is largest on DBLP.
     gdr_gain = {
         dataset: table["rgcn"][dataset]["hihgnn+gdr"]
         / table["rgcn"][dataset]["hihgnn"]
-        for dataset in suite.config.datasets
+        for dataset in session.spec.datasets
     }
     assert gdr_gain["dblp"] == max(gdr_gain.values())

@@ -8,32 +8,31 @@ HiHGNN's accesses by a large fraction, most on DBLP.
 """
 
 from benchmarks.conftest import BENCH_JOBS, run_once
-from repro.analysis.experiments import PLATFORMS
 from repro.analysis.report import ascii_table
+from repro.api.spec import DEFAULT_PLATFORMS
 
 PAPER_GEOMEAN = {"a100": 0.551, "hihgnn": 0.084, "hihgnn+gdr": 0.048}
 
 
-def test_fig8_dram_accesses(benchmark, suite):
-    def compute():
-        suite.run_grid(jobs=BENCH_JOBS)
-        return suite.figure8()
-
-    table = run_once(benchmark, compute)
+def test_fig8_dram_accesses(benchmark, session):
+    table = run_once(
+        benchmark, lambda: session.run(jobs=BENCH_JOBS).dram_traffic("t4")
+    )
     rows = []
-    for model in suite.config.models:
-        for dataset in suite.config.datasets:
+    for model in session.spec.models:
+        for dataset in session.spec.datasets:
             cell = table[model][dataset]
             rows.append([model, dataset] +
-                        [f"{cell[p]:.4f}" for p in PLATFORMS])
+                        [f"{cell[p]:.4f}" for p in DEFAULT_PLATFORMS])
     geo = table["GEOMEAN"]["all"]
-    rows.append(["GEOMEAN", "all"] + [f"{geo[p]:.4f}" for p in PLATFORMS])
+    rows.append(["GEOMEAN", "all"]
+                + [f"{geo[p]:.4f}" for p in DEFAULT_PLATFORMS])
     rows.append(["paper", "geomean", "1.0000",
                  f"{PAPER_GEOMEAN['a100']:.4f}",
                  f"{PAPER_GEOMEAN['hihgnn']:.4f}",
                  f"{PAPER_GEOMEAN['hihgnn+gdr']:.4f}"])
     print()
-    print(ascii_table(["model", "dataset"] + list(PLATFORMS), rows,
+    print(ascii_table(["model", "dataset"] + list(DEFAULT_PLATFORMS), rows,
                       title="Fig. 8: DRAM accesses normalized to T4"))
 
     # Shape assertions.
@@ -44,7 +43,7 @@ def test_fig8_dram_accesses(benchmark, suite):
     ratio = {
         dataset: table["rgcn"][dataset]["hihgnn+gdr"]
         / table["rgcn"][dataset]["hihgnn"]
-        for dataset in suite.config.datasets
+        for dataset in session.spec.datasets
     }
     assert ratio["dblp"] == min(ratio.values())
     assert ratio["dblp"] < 0.8  # paper: 0.571 on average

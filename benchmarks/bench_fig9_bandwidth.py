@@ -9,26 +9,25 @@ these small graphs); GDR's utilization is in the same band as HiHGNN's.
 """
 
 from benchmarks.conftest import BENCH_JOBS, run_once
-from repro.analysis.experiments import PLATFORMS
 from repro.analysis.report import ascii_table
+from repro.api.spec import DEFAULT_PLATFORMS
 
 
-def test_fig9_bandwidth_utilization(benchmark, suite):
-    def compute():
-        suite.run_grid(jobs=BENCH_JOBS)
-        return suite.figure9()
-
-    table = run_once(benchmark, compute)
+def test_fig9_bandwidth_utilization(benchmark, session):
+    table = run_once(
+        benchmark, lambda: session.run(jobs=BENCH_JOBS).bandwidth()
+    )
     rows = []
-    for model in suite.config.models:
-        for dataset in suite.config.datasets:
+    for model in session.spec.models:
+        for dataset in session.spec.datasets:
             cell = table[model][dataset]
             rows.append([model, dataset] +
-                        [f"{cell[p]:.1%}" for p in PLATFORMS])
+                        [f"{cell[p]:.1%}" for p in DEFAULT_PLATFORMS])
     geo = table["GEOMEAN"]["all"]
-    rows.append(["GEOMEAN", "all"] + [f"{geo[p]:.1%}" for p in PLATFORMS])
+    rows.append(["GEOMEAN", "all"]
+                + [f"{geo[p]:.1%}" for p in DEFAULT_PLATFORMS])
     print()
-    print(ascii_table(["model", "dataset"] + list(PLATFORMS), rows,
+    print(ascii_table(["model", "dataset"] + list(DEFAULT_PLATFORMS), rows,
                       title="Fig. 9: DRAM bandwidth utilization"))
     gdr_vs_t4 = geo["hihgnn+gdr"] / geo["t4"]
     gdr_vs_a100 = geo["hihgnn+gdr"] / geo["a100"]

@@ -11,9 +11,9 @@ from repro.analysis.report import ascii_table
 from repro.graph.datasets import DATASET_SPECS
 
 
-def test_table2(benchmark, suite):
+def test_table2(benchmark, session):
     def build():
-        return {name: suite.graph(name) for name in suite.config.datasets}
+        return {name: session.graph(name) for name in session.spec.datasets}
 
     graphs = run_once(benchmark, build)
     rows = []
@@ -36,14 +36,14 @@ def test_table2(benchmark, suite):
     ))
     for name, graph in graphs.items():
         spec = DATASET_SPECS[name]
-        if suite.config.scale == 1.0:
+        if session.spec.scale == 1.0:
             for vtype, count in spec.num_vertices.items():
                 assert graph.num_vertices(vtype) == count
 
 
-def test_table2_relations_listed(suite):
+def test_table2_relations_listed(session):
     """Every Table 2 relation (both directions) exists in the graphs."""
-    graph = suite.graph("imdb")
+    graph = session.graph("imdb")
     names = {r.name for r in graph.relations}
     assert {"performs", "rev_performs", "describes", "rev_describes",
             "directs", "rev_directs"} == names

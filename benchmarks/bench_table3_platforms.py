@@ -9,10 +9,17 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.analysis.report import ascii_table
+from repro.api.results import SystemConfigReport
 
 
-def test_table3(benchmark, suite):
-    table = run_once(benchmark, suite.table3)
+def test_table3(benchmark, session):
+    spec = session.spec
+    table = run_once(
+        benchmark,
+        lambda: SystemConfigReport.from_configs(
+            spec.accelerator, spec.frontend
+        ),
+    )
     rows = [["hihgnn", k, v] for k, v in table["hihgnn"].items()]
     rows += [["gdr-hgnn", k, v] for k, v in table["gdr-hgnn"].items()]
     print()

@@ -1,12 +1,8 @@
-"""Experiment harness regenerating every table and figure of the paper."""
+"""Analyses behind the paper's figures: Fig. 2 thrashing, buffer sweeps
+and the plain-text tables and histograms they print."""
 
 from repro.analysis.report import ascii_table, format_ratio, render_histogram
 from repro.analysis.thrashing import ThrashingProfile, thrashing_analysis
-from repro.analysis.experiments import (
-    EvaluationConfig,
-    EvaluationSuite,
-    geomean,
-)
 from repro.analysis.sweeps import BufferSweepPoint, buffer_sensitivity
 
 __all__ = [
@@ -15,9 +11,6 @@ __all__ = [
     "render_histogram",
     "ThrashingProfile",
     "thrashing_analysis",
-    "EvaluationConfig",
-    "EvaluationSuite",
-    "geomean",
     "BufferSweepPoint",
     "buffer_sensitivity",
 ]

@@ -33,7 +33,9 @@ from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
 from repro.platforms.failures import CellFailure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.accelerator.config import HiHGNNConfig
     from repro.api.spec import ExperimentSpec
+    from repro.frontend.config import GDRConfig
 
 __all__ = [
     "CellFailure",
@@ -706,10 +708,6 @@ class DatasetStatRow:
     spec_vertices: int | None = None
     relations: int | None = None
 
-    def __getitem__(self, key: str) -> Any:
-        # Dict-style access for pre-API callers of table2() rows.
-        return getattr(self, key)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "dataset": self.dataset,
@@ -774,6 +772,32 @@ class SystemConfigReport:
 
     hihgnn: dict[str, float]
     gdr_hgnn: dict[str, float]
+
+    @classmethod
+    def from_configs(
+        cls, accelerator: "HiHGNNConfig", frontend: "GDRConfig"
+    ) -> "SystemConfigReport":
+        """Dump the modeled configurations in Table 3's units."""
+        mib = 1 << 20
+        return cls(
+            hihgnn={
+                "peak_tflops": accelerator.peak_tflops,
+                "clock_ghz": accelerator.clock_ghz,
+                "num_lanes": accelerator.num_lanes,
+                "fp_buffer_mb": accelerator.fp_buffer_bytes / mib,
+                "na_buffer_mb": accelerator.na_buffer_bytes / mib,
+                "sf_buffer_mb": accelerator.sf_buffer_bytes / mib,
+                "att_buffer_mb": accelerator.att_buffer_bytes / mib,
+                "hbm_gbs": accelerator.hbm.peak_bytes_per_cycle
+                * accelerator.clock_ghz,
+            },
+            gdr_hgnn={
+                "fifo_kb": frontend.fifo_bytes / 1024,
+                "matching_buffer_kb": frontend.matching_buffer_bytes / 1024,
+                "candidate_buffer_kb": frontend.candidate_buffer_bytes / 1024,
+                "adj_buffer_kb": frontend.adj_buffer_bytes / 1024,
+            },
+        )
 
     def __getitem__(self, key: str) -> dict[str, float]:
         # Pre-API callers index with the paper's column names.

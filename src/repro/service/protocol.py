@@ -9,9 +9,9 @@ One request shape and three response shapes, all JSON:
 - ``GET /health`` and ``GET /stats`` answer with a single JSON
   document.
 - Every failure mode is a typed error: a JSON ``error`` body carrying
-  a stable machine-readable ``code`` (``bad-request``, ``draining``,
-  ``queue-full``, ``not-found``, ``internal``) next to the human
-  message.
+  a stable machine-readable ``code`` (``bad-request``,
+  ``request-timeout``, ``draining``, ``queue-full``, ``not-found``,
+  ``internal``) next to the human message.
 
 Byte-identity contract: the default stream envelopes are a pure
 function of the cell payloads — no timestamps, no request ids, no
@@ -40,6 +40,7 @@ __all__ = [
     "SERVICE_SCHEMA_VERSION",
     "ServiceError",
     "BadRequest",
+    "RequestTimeout",
     "Draining",
     "QueueFull",
     "canonical_json",
@@ -62,6 +63,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -87,6 +89,13 @@ class BadRequest(ServiceError):
 
     code = "bad-request"
     http_status = 400
+
+
+class RequestTimeout(ServiceError):
+    """The client did not send a whole request before the read deadline."""
+
+    code = "request-timeout"
+    http_status = 408
 
 
 class Draining(ServiceError):

@@ -46,6 +46,7 @@ from repro.platforms.failures import CellFailure
 from repro.service.protocol import (
     SERVICE_SCHEMA_VERSION,
     BadRequest,
+    RequestTimeout,
     ServiceError,
     end_envelope,
     error_body,
@@ -66,6 +67,10 @@ __all__ = ["SubmitPlan", "SimulationService", "ReproServer", "BackgroundServer"]
 #: anything larger is a client bug or abuse).
 _MAX_HEAD_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 1024 * 1024
+#: Deadline (seconds) for reading one request's head and body: a client
+#: that goes quiet mid-request gets a 408 instead of holding its
+#: connection open.
+_READ_TIMEOUT_S = 10.0
 
 
 @dataclass
@@ -354,31 +359,43 @@ class ReproServer:
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes]:
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError as exc:
-            # Heads past the stream reader's own limit (64 KiB) never
-            # reach the size check below.
-            raise BadRequest("request head too large") from exc
-        if len(head) > _MAX_HEAD_BYTES:
-            raise BadRequest("request head too large")
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = lines[0].split(" ", 2)
-        except ValueError as exc:
-            raise BadRequest(f"malformed request line: {lines[0]!r}") from exc
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _sep, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length") or "0"
-        if not (raw_length.isascii() and raw_length.isdigit()):
-            raise BadRequest(f"malformed Content-Length: {raw_length!r}")
-        length = int(raw_length)
-        if length > _MAX_BODY_BYTES:
-            raise BadRequest(f"request body too large ({length} bytes)")
-        body = await reader.readexactly(length) if length else b""
+            async with asyncio.timeout(_READ_TIMEOUT_S):
+                try:
+                    head = await reader.readuntil(b"\r\n\r\n")
+                except asyncio.LimitOverrunError as exc:
+                    # Heads past the stream reader's own limit (64 KiB)
+                    # never reach the size check below.
+                    raise BadRequest("request head too large") from exc
+                if len(head) > _MAX_HEAD_BYTES:
+                    raise BadRequest("request head too large")
+                lines = head.decode("latin-1").split("\r\n")
+                try:
+                    method, target, _version = lines[0].split(" ", 2)
+                except ValueError as exc:
+                    raise BadRequest(
+                        f"malformed request line: {lines[0]!r}"
+                    ) from exc
+                headers: dict[str, str] = {}
+                for line in lines[1:]:
+                    if not line:
+                        continue
+                    name, _sep, value = line.partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                raw_length = headers.get("content-length") or "0"
+                if not (raw_length.isascii() and raw_length.isdigit()):
+                    raise BadRequest(
+                        f"malformed Content-Length: {raw_length!r}"
+                    )
+                length = int(raw_length)
+                if length > _MAX_BODY_BYTES:
+                    raise BadRequest(
+                        f"request body too large ({length} bytes)"
+                    )
+                body = await reader.readexactly(length) if length else b""
+        except TimeoutError as exc:
+            raise RequestTimeout(
+                f"request not received within {_READ_TIMEOUT_S:g} s"
+            ) from exc
         return method, target, headers, body
 
     # -- endpoints -----------------------------------------------------

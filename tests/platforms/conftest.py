@@ -5,11 +5,16 @@ segments: a ``repro-*`` name surviving in ``/dev/shm`` (POSIX backend)
 or a ``repro-*.shm`` file surviving in the temp directory (mmap
 fallback) after a test is a lifecycle bug — publishers must unlink on
 close, GC and interpreter exit alike.
+
+Segment names embed the creating pid, so the check only looks at this
+process's names: other processes on the machine (a concurrent run, an
+xdist sibling) create and drop their own segments mid-test.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import tempfile
 from pathlib import Path
 
@@ -17,12 +22,14 @@ import pytest
 
 
 def _segment_residue() -> set[str]:
+    # Same prefix as repro.platforms.shm._segment_name.
+    pattern = f"repro-{os.getpid() % 100000}-*"
     residue: set[str] = set()
     shm_dir = Path("/dev/shm")
     if shm_dir.is_dir():
-        residue.update(str(p) for p in shm_dir.glob("repro-*"))
+        residue.update(str(p) for p in shm_dir.glob(pattern))
     residue.update(
-        str(p) for p in Path(tempfile.gettempdir()).glob("repro-*.shm")
+        str(p) for p in Path(tempfile.gettempdir()).glob(f"{pattern}.shm")
     )
     return residue
 

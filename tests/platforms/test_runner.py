@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.experiments import EvaluationConfig, EvaluationSuite
 from repro.api import ExperimentSpec, Session
 from repro.models.base import ModelConfig
 from repro.platforms import ArtifactStore, GridRunner, PlatformContext
@@ -152,50 +151,23 @@ class TestSessionStoreKeys:
             assert content_key != base[1]
 
 
-class TestSuiteFacade:
-    def test_suite_warm_store_skips_all_simulation(self, tmp_path):
-        config = EvaluationConfig(
-            datasets=DATASETS,
-            models=MODELS,
-            seed=3,
-            scale=0.08,
-            model_config=SMALL_MODEL,
-        )
-        cold = EvaluationSuite(config, store=ArtifactStore(tmp_path))
-        cold.run_grid(jobs=2)
-        f7 = cold.figure7()
+class TestSessionTables:
+    def test_warm_store_skips_all_simulation(self, tmp_path):
+        spec = small_spec(platforms=PLATFORMS, datasets=DATASETS)
+        cold = Session(spec, store=ArtifactStore(tmp_path)).run(jobs=2)
 
-        warm = EvaluationSuite(config, store=ArtifactStore(tmp_path))
-        warm.run_grid()
+        warm_session = Session(spec, store=ArtifactStore(tmp_path))
+        warm = warm_session.run()
         cells = len(PLATFORMS) * len(MODELS) * len(DATASETS)
-        assert warm.store.stats.hits == cells
-        assert warm.store.stats.misses == 0
-        assert not warm.runner._graphs  # nothing was regenerated
-        assert warm.figure7() == f7
+        assert warm_session.store.stats.hits == cells
+        assert warm_session.store.stats.misses == 0
+        assert not warm_session.runner._graphs  # nothing was regenerated
+        assert warm.speedup("t4") == cold.speedup("t4")
 
-    def test_suite_parallel_equals_serial_tables(self):
-        config = dict(
-            datasets=DATASETS,
-            models=MODELS,
-            seed=3,
-            scale=0.08,
-            model_config=SMALL_MODEL,
-        )
-        serial = EvaluationSuite(EvaluationConfig(**config))
-        serial.run_grid()
-        parallel = EvaluationSuite(EvaluationConfig(**config), jobs=4)
-        parallel.run_grid()
-        assert serial.figure7() == parallel.figure7()
-        assert serial.figure8() == parallel.figure8()
-        assert serial.figure9() == parallel.figure9()
-
-    def test_config_validates_datasets_eagerly(self):
-        with pytest.raises(ValueError, match="unknown dataset 'aacm'"):
-            EvaluationConfig(datasets=("aacm",))
-
-    def test_config_validates_models_eagerly(self):
-        with pytest.raises(ValueError, match="unknown model 'rgnn'"):
-            EvaluationConfig(models=("rgnn",))
-
-    def test_config_accepts_model_aliases(self):
-        EvaluationConfig(models=("RGCN", "simple-hgn"))
+    def test_parallel_equals_serial_tables(self):
+        spec = small_spec(platforms=PLATFORMS, datasets=DATASETS)
+        serial = Session(spec).run()
+        parallel = Session(spec, jobs=4).run()
+        assert serial.speedup("t4") == parallel.speedup("t4")
+        assert serial.dram_traffic("t4") == parallel.dram_traffic("t4")
+        assert serial.bandwidth() == parallel.bandwidth()

@@ -138,6 +138,24 @@ class TestEndpoints:
         assert b'"code":"bad-request"' in raw
         assert "Unhandled exception" not in caplog.text
 
+    def test_silent_client_gets_typed_408(
+        self, launch, caplog, monkeypatch
+    ):
+        monkeypatch.setattr("repro.service.server._READ_TIMEOUT_S", 0.3)
+        server = launch(jobs=1)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            started = time.monotonic()
+            # Sends a partial head, then goes silent; returns once the
+            # server has answered and closed the connection.
+            raw = _raw_request(server, b"GET /health HTTP/1.1\r\n")
+            elapsed = time.monotonic() - started
+            assert client_for(server).health()["status"] == "ok"
+        assert raw.startswith(b"HTTP/1.1 408 ")
+        assert b'"code":"request-timeout"' in raw
+        assert elapsed < 10.0
+        assert "Unhandled exception" not in caplog.text
+        assert "Exception in callback" not in caplog.text
+
     def test_unknown_order_param_rejected(self, launch):
         server = launch(jobs=1)
         with pytest.raises(ServiceClientError) as excinfo:
