@@ -65,9 +65,11 @@ class GDRFrontend:
             sub-subgraphs"; each recursion re-runs both hardware units
             on the subgraphs, and all costs accumulate.
         min_edges: recursion cut-off.
-        naive: run both hardware units on the original per-edge
+        naive: run the Decoupler's matching and hash replay and the
+            Recoupler's backbone selection on their original per-edge
             reference loops instead of the vectorized engines
-            (bit-identical output).
+            (bit-identical output). The community walk has a single
+            scalar engine either way.
     """
 
     def __init__(

@@ -44,7 +44,11 @@ class RecouplerReport:
 
 
 class Recoupler:
-    """Hardware model of backbone selection + subgraph generation."""
+    """Hardware model of backbone selection + subgraph generation.
+
+    ``naive=True`` applies to backbone selection only; the community
+    walk in :func:`recouple` has a single engine.
+    """
 
     def __init__(
         self,
@@ -72,7 +76,6 @@ class Recoupler:
             matching,
             partition,
             community_budget=self.community_budget,
-            naive=self.naive,
         )
 
         candidates = matching.size * 2  # matched sources and destinations

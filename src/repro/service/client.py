@@ -178,8 +178,10 @@ class ServiceClient:
 
     def _request_json(self, method: str, path: str) -> dict[str, Any]:
         sock = self._open(method, path)
-        try:
-            file = sock.makefile("rb")
+        # The reader holds its own reference to the descriptor: closing
+        # only the socket would leave the fd open until the reader is
+        # collected (on the error path, until the traceback is).
+        with sock, sock.makefile("rb") as file:
             status, payload = _read_head(file)
             if payload is None:
                 payload = json.loads(file.read() or b"{}")
@@ -191,8 +193,6 @@ class ServiceClient:
                     error.get("message", "service error"),
                 )
             return payload
-        finally:
-            sock.close()
 
 
 def _read_head(file: Any) -> tuple[int, dict[str, Any] | None]:

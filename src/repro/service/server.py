@@ -279,6 +279,18 @@ class ReproServer:
             while self._streams > 0 or not self.service.registry.idle():
                 await asyncio.sleep(0.05)
         finally:
+            # Stop accepting, then give every connection already accepted
+            # three loop turns to build its transport and start its
+            # handler. On Python 3.11 ``Server.close`` breaks a connection
+            # with no transport yet, and ``asyncio.run`` cancels a handler
+            # that never started; either way nothing closes its socket.
+            try:
+                for sock in server.sockets:
+                    asyncio.get_running_loop().remove_reader(sock.fileno())
+            except NotImplementedError:
+                pass  # proactor loops
+            for _ in range(3):
+                await asyncio.sleep(0)
             server.close()
             await server.wait_closed()
             self.service.stop()

@@ -2,14 +2,13 @@
 
 Locks in the tentpole guarantee -- the batched engines reproduce the
 scalar formulations *exactly*: same matching arrays, bit-identical
-``MatchingCounters``, identical hash-conflict counts, identical
-backbone covers and community schedules, and therefore byte-identical
-Decoupler/Recoupler/Frontend reports, across the Table 2 catalog, the
-scenario stress families and recursive ``max_depth > 0`` runs.
+``MatchingCounters``, identical hash-conflict counts and identical
+backbone covers, and therefore byte-identical Decoupler/Recoupler/
+Frontend reports, across the Table 2 catalog, the scenario stress
+families and recursive ``max_depth > 0`` runs.
 """
 
 import dataclasses
-import importlib
 
 import numpy as np
 import pytest
@@ -26,11 +25,6 @@ from repro.restructure.backbone import select_backbone
 from repro.restructure.hopcroft_karp import hopcroft_karp
 from repro.restructure.matching import maximum_matching_fifo
 from repro.restructure.matching_vec import maximum_matching_vec
-from repro.restructure.recouple import (
-    _community_schedule_naive,
-    _community_schedule_vec,
-    recouple,
-)
 from repro.scenarios import build_scenario
 
 #: Scenario references exercising the adversarial shapes: complete
@@ -199,9 +193,9 @@ class TestConflictReplayDifferential:
             count_fifo_conflicts(np.arange(4), 4, 0)
 
 
-class TestBackboneAndScheduleDifferential:
+class TestBackboneDifferential:
     @pytest.mark.parametrize("dataset", ["acm", "dblp"])
-    def test_catalog_covers_and_schedules_identical(self, dataset):
+    def test_catalog_covers_identical(self, dataset):
         for sg in _catalog_graphs(dataset):
             matching = maximum_matching_vec(sg)
             for strategy in ("konig", "paper"):
@@ -209,81 +203,6 @@ class TestBackboneAndScheduleDifferential:
                 b = select_backbone(sg, matching, strategy, naive=True)
                 assert np.array_equal(a.src_in_mask, b.src_in_mask)
                 assert np.array_equal(a.dst_in_mask, b.dst_in_mask)
-            fast = select_backbone(sg, matching, "konig")
-            slow = select_backbone(sg, matching, "konig", naive=True)
-            fast_result = recouple(sg, matching, fast)
-            slow_result = recouple(sg, matching, slow, naive=True)
-            for a, b in zip(
-                fast_result.dst_schedules, slow_result.dst_schedules
-            ):
-                assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("ref", STRESS_REFS)
-    @pytest.mark.parametrize("budget", [1, 7, 256])
-    def test_scenario_schedules_identical(self, ref, budget):
-        for sg in _scenario_graphs(ref):
-            assert np.array_equal(
-                _community_schedule_naive(sg, budget),
-                _community_schedule_vec(sg, budget),
-            ), (ref, budget)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        num_src=st.integers(1, 30),
-        num_dst=st.integers(1, 30),
-        density=st.floats(0.0, 0.8),
-        budget=st.integers(1, 40),
-        seed=st.integers(0, 2**16),
-    )
-    def test_random_schedules_identical(
-        self, num_src, num_dst, density, budget, seed
-    ):
-        rng = np.random.default_rng(seed)
-        num_edges = int(density * num_src * num_dst)
-        src = rng.integers(0, num_src, num_edges)
-        dst = rng.integers(0, num_dst, num_edges)
-        sg = SemanticGraph(Relation("a", "r", "b"), num_src, num_dst, src, dst)
-        assert np.array_equal(
-            _community_schedule_naive(sg, budget),
-            _community_schedule_vec(sg, budget),
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        num_src=st.integers(1, 30),
-        num_dst=st.integers(1, 30),
-        density=st.floats(0.0, 0.8),
-        budget=st.integers(1, 40),
-        seed=st.integers(0, 2**16),
-        fat_row=st.integers(1, 8),
-        batch_min=st.integers(2, 8),
-    )
-    def test_forced_batched_schedules_identical(
-        self, num_src, num_dst, density, budget, seed, fat_row, batch_min
-    ):
-        """Same property with tiny hand-off thresholds.
-
-        Default thresholds keep graphs this small on the scalar path, so
-        this variant forces every walk through the batched generations
-        (and the small-generation hand-back) to differential-test the
-        cumulative-sum budget cut itself.
-        """
-        # importlib: plain ``import repro.restructure.recouple`` resolves
-        # the attribute to the re-exported function, not the module.
-        rc_mod = importlib.import_module("repro.restructure.recouple")
-
-        rng = np.random.default_rng(seed)
-        num_edges = int(density * num_src * num_dst)
-        src = rng.integers(0, num_src, num_edges)
-        dst = rng.integers(0, num_dst, num_edges)
-        sg = SemanticGraph(Relation("a", "r", "b"), num_src, num_dst, src, dst)
-        saved = rc_mod._FAT_ROW, rc_mod._BATCH_MIN
-        rc_mod._FAT_ROW, rc_mod._BATCH_MIN = fat_row, batch_min
-        try:
-            vec = _community_schedule_vec(sg, budget)
-        finally:
-            rc_mod._FAT_ROW, rc_mod._BATCH_MIN = saved
-        assert np.array_equal(_community_schedule_naive(sg, budget), vec)
 
 
 class TestFrontendDifferential:
