@@ -40,7 +40,7 @@ from repro.api.spec import ExperimentSpec, GridKey
 from repro.graph.hetero import HeteroGraph
 from repro.graph.semantic import SemanticGraph
 from repro.platforms.failures import CellFailure, RetryPolicy
-from repro.platforms.runner import GridRunner, resolve_executor
+from repro.platforms.runner import GridRunner
 from repro.platforms.store import ArtifactStore, config_digest
 from repro.scenarios import workload_digest
 
@@ -73,12 +73,9 @@ class Session:
         store: optional persistent artifact store; when given, results
             survive the process and later sessions (or concurrent CLI
             invocations) are warm.
-        jobs: default worker count for grid fan-out (1 = serial).
-        executor: default fan-out backend — ``"thread"`` (shared
-            address space), ``"process"`` (true multicore over
-            shared-memory artifacts) or ``"auto"`` (process when
-            ``jobs > 1`` and the machine has more than one CPU).
-            Results are bit-identical across backends.
+        jobs: default worker count for grid fan-out: 1 runs serially,
+            more runs that many worker processes over shared-memory
+            artifacts. Results are bit-identical either way.
     """
 
     def __init__(
@@ -87,14 +84,10 @@ class Session:
         *,
         store: ArtifactStore | None = None,
         jobs: int = 1,
-        executor: str = "thread",
     ) -> None:
-        # Validates eagerly; "auto" still resolves per fan-out.
-        resolve_executor(executor, 1)
         self.spec = spec if spec is not None else ExperimentSpec()
         self.store = store
         self.jobs = max(1, int(jobs))
-        self.executor = executor
         self._workspaces: dict[object, _Workspace] = {}
         self._workspaces_lock = threading.Lock()
 
@@ -209,8 +202,8 @@ class Session:
         """Turn a runner outcome into a typed, persisted CellResult.
 
         Always runs in the parent process — also for cells simulated on
-        the process backend — so the store's bytes are identical no
-        matter which executor produced the report. A
+        worker processes — so the store's bytes are identical no
+        matter where the report was computed. A
         :class:`CellFailure` becomes ``CellResult(status="failed")``
         and is neither memoized nor persisted, so a later run retries
         the cell fresh.
@@ -305,7 +298,6 @@ class Session:
         *,
         spec: ExperimentSpec | None = None,
         jobs: int | None = None,
-        executor: str | None = None,
         retry: RetryPolicy | None = None,
         on_error: str = "collect",
     ) -> Iterator[tuple[GridKey, CellResult]]:
@@ -318,7 +310,7 @@ class Session:
         peeked), and yields the grid key next to every result.
         Artifacts are warmed first and finalization (persist + memo)
         happens parent-side, so results are bit-identical to
-        :meth:`run` across thread and process backends. Abandoning the
+        :meth:`run` at any worker count. Abandoning the
         generator tears the fan-out down synchronously, exactly like
         :meth:`run_iter`.
         """
@@ -335,7 +327,6 @@ class Session:
         inner = workspace.runner.run_cells(
             cells,
             jobs=jobs,
-            executor=self.executor if executor is None else executor,
             retry=retry,
             on_error=on_error,
         )
@@ -350,7 +341,6 @@ class Session:
         spec: ExperimentSpec | None = None,
         *,
         jobs: int | None = None,
-        executor: str | None = None,
         progress: ProgressCallback | None = None,
         on_error: str = "raise",
         retry: RetryPolicy | None = None,
@@ -359,12 +349,11 @@ class Session:
 
         Cached cells (session memo or store hits) are yielded first —
         without generating a single graph — then the remaining cells
-        fan out over the thread or process backend
+        run serially or fan out over worker processes
         (:meth:`GridRunner.run_cells`) and stream back in completion
         order. The union of yielded cells always equals
         ``spec.cells()``; only the order varies with ``jobs`` — the
-        results themselves are bit-identical across backends and
-        worker counts.
+        results themselves are bit-identical at every worker count.
 
         With ``on_error="collect"`` cell failures are isolated: a
         failing cell yields ``CellResult(status="failed")`` (typed
@@ -423,12 +412,11 @@ class Session:
         # — the explicit close() in the finally block propagates the
         # abandonment inward *synchronously*, so pool shutdown happens
         # here and now rather than whenever the inner generator is
-        # garbage collected (pending futures, executor workers and shm
+        # garbage collected (pending futures, worker processes and shm
         # segments would otherwise outlive the consumer).
         inner = workspace.runner.run_cells(
             pending,
             jobs=jobs,
-            executor=self.executor if executor is None else executor,
             retry=retry,
             on_error=on_error,
         )
@@ -443,7 +431,6 @@ class Session:
         spec: ExperimentSpec | None = None,
         *,
         jobs: int | None = None,
-        executor: str | None = None,
         progress: ProgressCallback | None = None,
         on_error: str = "raise",
         retry: RetryPolicy | None = None,
@@ -465,7 +452,6 @@ class Session:
         for result in self.run_iter(
             spec,
             jobs=jobs,
-            executor=executor,
             progress=progress,
             on_error=on_error,
             retry=retry,

@@ -77,16 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated platform list "
                                "(default: the four paper platforms)")
     evaluate.add_argument("--jobs", default="1", metavar="N|auto",
-                          help="grid worker count (1 = serial, "
-                               "'auto' = CPU count)")
-    evaluate.add_argument("--executor", default="thread",
-                          choices=("thread", "process", "auto"),
-                          help="fan-out backend: 'thread' shares one "
-                               "address space, 'process' runs true "
-                               "multicore over shared-memory artifacts, "
-                               "'auto' picks process when --jobs > 1 "
-                               "and the machine is multicore; results "
-                               "are bit-identical either way")
+                          help="grid worker count (1 = serial, more = "
+                               "that many worker processes over "
+                               "shared-memory artifacts, 'auto' = CPU "
+                               "count); results are bit-identical "
+                               "either way")
     evaluate.add_argument("--no-cache", action="store_true",
                           help="skip the on-disk artifact store")
     evaluate.add_argument("--cache-dir", default=None,
@@ -191,13 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8642,
                        help="listen port (0 = ephemeral; the resolved "
                             "port is printed on startup)")
-    serve.add_argument("--jobs", default="auto", metavar="N|auto",
+    serve.add_argument("--jobs", default="1", metavar="N|auto",
                        help="grid worker count shared by all clients "
-                            "(default: CPU count)")
-    serve.add_argument("--executor", default="thread",
-                       choices=("thread", "process", "auto"),
-                       help="fan-out backend (results are bit-identical "
-                            "either way)")
+                            "(default: 1 = serial in the dispatcher; "
+                            "more = worker processes, 'auto' = CPU "
+                            "count)")
     serve.add_argument("--no-cache", action="store_true",
                        help="skip the on-disk artifact store (no warm "
                             "cells across restarts)")
@@ -278,9 +271,7 @@ def _cmd_evaluate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     store = None if args.no_cache else ArtifactStore(args.cache_dir)
-    session = Session(
-        spec, store=store, jobs=jobs, executor=args.executor
-    )
+    session = Session(spec, store=store, jobs=jobs)
 
     progress = None
     if args.progress:
@@ -677,7 +668,7 @@ def _cmd_serve(args) -> int:
         print("error: --max-queue must be >= 1", file=sys.stderr)
         return 2
     store = None if args.no_cache else ArtifactStore(args.cache_dir)
-    session = Session(store=store, jobs=jobs, executor=args.executor)
+    session = Session(store=store, jobs=jobs)
     service = SimulationService(
         session, max_queue_per_client=args.max_queue
     )
@@ -692,7 +683,7 @@ def _cmd_serve(args) -> int:
             await asyncio.sleep(0.01)
         print(
             f"repro service listening on http://{server.host}:{server.port} "
-            f"(jobs={jobs}, executor={args.executor}, "
+            f"(jobs={jobs}, "
             f"store={'off' if store is None else store.root}) "
             "-- SIGTERM drains gracefully",
             file=sys.stderr,

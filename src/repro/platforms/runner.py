@@ -6,30 +6,25 @@ The runner is a pure executor. It owns:
   per dataset, warmed, then read-only — the precondition for fanning
   cells out across workers),
 - platform instances resolved through the registry,
-- a ``concurrent.futures`` thread or process pool for ``jobs > 1``.
+- a ``concurrent.futures`` process pool for ``jobs > 1``.
 
 It keeps no results: every call simulates. The result memo and the
 persistent :class:`~repro.platforms.store.ArtifactStore` belong to
 :class:`repro.api.session.Session`, which finalizes every outcome in
 the parent process.
 
-Two fan-out backends share one contract (``executor=``):
-
-- ``"thread"`` — workers share the address space; topology artifacts
-  are shared by reference. Bounded by the GIL for the pure-Python
-  parts of a simulation.
-- ``"process"`` — true multicore. The parent warms each dataset once,
-  publishes its topology arrays into shared memory
-  (:mod:`repro.platforms.shm`), and workers attach them as zero-copy
-  read-only views — no artifact is ever rebuilt or pickled per cell.
-  Outcomes stream back to the parent, so whatever the caller persists
-  is identical to a serial run.
-- ``"auto"`` — ``"process"`` when ``jobs > 1`` and the machine has
-  more than one CPU, else ``"thread"``.
+``jobs`` alone picks the fan-out: ``jobs <= 1`` runs serially in the
+calling thread, ``jobs > 1`` runs a process pool. The parent warms
+each dataset once, publishes its topology arrays into shared memory
+(:mod:`repro.platforms.shm`), and workers attach them as zero-copy
+read-only views — no artifact is ever rebuilt or pickled per cell.
+Outcomes stream back to the parent, so whatever the caller persists is
+identical to a serial run. (A thread pool was measured too and never
+beat serial: the pure-Python parts of a simulation hold the GIL.)
 
 Simulations are deterministic pure functions of the warmed artifacts,
-so parallel runs are bit-identical to serial ones under either
-backend. Fault plans survive the process hop: workers re-arm a fresh
+so parallel runs are bit-identical to serial ones. Fault plans survive
+the process hop: workers re-arm a fresh
 :class:`~repro.faults.FaultPlan` from the parent's ``(rules, seed)``,
 and firing is a pure function of ``(seed, rule, site, key, n)`` — the
 schedule hits the same cells it would in-process.
@@ -67,28 +62,16 @@ from repro.platforms.base import DatasetArtifacts, Platform, PlatformContext
 from repro.platforms.failures import ArtifactBuildError, CellFailure, RetryPolicy
 from repro.platforms.registry import create_platform
 
-__all__ = ["GridRunner", "resolve_executor", "resolve_jobs"]
+__all__ = ["GridRunner", "resolve_jobs"]
 
 GridKey = tuple[str, str, str]
 
 _ON_ERROR = ("raise", "collect")
-_EXECUTORS = ("thread", "process", "auto")
 
 #: Start method for the process backend. ``fork`` is preferred where
 #: available (no re-import, instant workers); ``REPRO_MP_START_METHOD``
 #: overrides (e.g. ``spawn`` to exercise the macOS/Windows default).
 ENV_MP_START_METHOD = "REPRO_MP_START_METHOD"
-
-
-def resolve_executor(executor: str, jobs: int) -> str:
-    """Collapse ``"auto"`` to a concrete backend for this machine."""
-    if executor not in _EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {_EXECUTORS}, got {executor!r}"
-        )
-    if executor == "auto":
-        return "process" if jobs > 1 and (os.cpu_count() or 1) > 1 else "thread"
-    return executor
 
 
 def resolve_jobs(jobs: int | str | None) -> int:
@@ -389,19 +372,17 @@ class GridRunner:
         cells: list[GridKey],
         *,
         jobs: int,
-        executor: str,
         retry: RetryPolicy | None = None,
         on_error: str = "raise",
     ):
         """Yield ``(cell, outcome)`` for every cell, in completion order.
 
         The one fan-out primitive behind ``Session.run_iter`` and
-        ``Session.compute_cells``: serial, thread-pool and process-pool
-        execution share its contract — every cell yields exactly once,
-        in the parent process, with a report or
-        (``on_error="collect"``) a :class:`CellFailure`. ``executor``
-        is ``"thread"``, ``"process"`` or ``"auto"``; ``jobs <= 1``
-        runs serially.
+        ``Session.compute_cells``: serial and process-pool execution
+        share its contract — every cell yields exactly once, in the
+        parent process, with a report or (``on_error="collect"``) a
+        :class:`CellFailure`. ``jobs <= 1`` (or a single cell) runs
+        serially; anything more fans out on the process pool.
 
         Callers must have warmed the artifacts of every cell's dataset
         (:meth:`warm_artifacts`); in collect mode, cells whose dataset
@@ -415,31 +396,10 @@ class GridRunner:
             raise ValueError(
                 f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
             )
-        mode = resolve_executor(executor, jobs)
-        if jobs <= 1 or len(cells) <= 1:
-            mode = "serial"
-
-        if mode == "process":
+        if jobs > 1 and len(cells) > 1:
             yield from self._run_cells_process(
                 cells, jobs=jobs, retry=retry, on_error=on_error
             )
-            return
-        if mode == "thread":
-            pool = ThreadPoolExecutor(max_workers=jobs)
-            try:
-                futures = {
-                    pool.submit(
-                        self.run_cell, *cell, retry=retry, on_error=on_error
-                    ): cell
-                    for cell in cells
-                }
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        yield futures[future], future.result()
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
             return
         for cell in cells:
             yield cell, self.run_cell(*cell, retry=retry, on_error=on_error)
@@ -457,7 +417,7 @@ class GridRunner:
 
         # Datasets that failed to warm (collect mode) cannot be
         # published; their cells run in the parent, where run_cell
-        # reproduces the thread backend's typed build failures.
+        # reproduces the serial path's typed build failures.
         publishable = [
             d
             for d in dict.fromkeys(dataset for _, _, dataset in cells)

@@ -88,7 +88,10 @@ class TestSimulateFaults:
     def test_faulted_cells_never_shared_across_clients(
         self, launch, baseline_cells
     ):
-        server = launch(jobs=2)
+        # Serial dispatch keeps simulate faults in this process, so the
+        # plan's times=2 budget and fired counter are global. (Process
+        # workers re-arm their own copy of the plan, with fresh budgets.)
+        server = launch(jobs=1)
         spec = tiny_spec()
         plan = FaultPlan(
             [

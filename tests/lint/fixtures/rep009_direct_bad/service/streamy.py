@@ -1,4 +1,4 @@
-"""REP006 fire fixture: blocking calls on the event loop.
+"""REP009 fire fixture: blocking calls written directly on the event loop.
 
 Every async function here stalls the loop in a different way; the
 checker must flag all six call sites.

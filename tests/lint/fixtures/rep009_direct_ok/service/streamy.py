@@ -1,4 +1,4 @@
-"""REP006 silent fixture: the executor idiom and other compliant shapes."""
+"""REP009 silent fixture: the executor idiom and other compliant shapes."""
 
 import asyncio
 import json

@@ -108,38 +108,6 @@ class TestParity:
         assert symbols == {"tested_kernel", "untested_kernel", "TestedOp.__init__"}
 
 
-class TestAsyncBlocking:
-    def test_fires_on_blocking_calls_in_async_defs(self):
-        result = lint_fixture(
-            "rep006_bad/service/streamy.py", rules=["REP006"]
-        )
-        assert _rules(result) == ["REP006"]
-        messages = "\n".join(f.message for f in result.findings)
-        assert "time.sleep" in messages
-        assert "open" in messages
-        assert ".read_text()" in messages
-        assert "subprocess.run" in messages
-        assert "requests.get" in messages
-        assert "socket.create_connection" in messages
-        assert len(result.findings) == 6
-        # The sync helper at the bottom stays unflagged.
-        assert "sync_helper_is_fine" not in {
-            f.symbol for f in result.findings
-        }
-
-    def test_silent_on_executor_idiom(self):
-        result = lint_fixture(
-            "rep006_ok/service/streamy.py", rules=["REP006"]
-        )
-        assert result.findings == []
-
-    def test_out_of_scope_files_ignored(self):
-        result = lint_fixture(
-            "rep006_ok/elsewhere/tool.py", rules=["REP006"]
-        )
-        assert result.findings == []
-
-
 class TestPicklability:
     def test_fires_on_unpicklable_shapes(self):
         result = lint_fixture("picklability_bad.py", rules=["REP005"])

@@ -2,11 +2,13 @@
 
 Same discipline as ``test_checks.py``: every rule pins its exact
 finding count on the ``*_bad`` fixture and silence on the ``*_ok``
-twin. The REP009 class additionally pins the relationship to REP006 —
-the transitive findings must be invisible to the direct-only rule —
-and the graceful degradation to direct-only detection when the run
-sees a single file and the cache is disabled.
+twin. The REP009 class additionally pins the direct blocking calls on
+their own (six blocking shapes, one per coroutine) and the
+graceful degradation to direct-only detection when the run sees a
+single file and the cache is disabled.
 """
+
+import pytest
 
 from tests.lint.conftest import lint_fixture
 
@@ -67,13 +69,38 @@ class TestTransitiveBlocking:
             in messages
         )
 
-    def test_rep006_alone_cannot_see_the_transitive_cases(self):
-        # The same tree under the direct-only rule: just the inline
-        # time.sleep. The two laundered helpers are REP009's reason to
-        # exist.
-        result = lint_fixture("rep009_bad", rules=["REP006"])
-        assert len(result.findings) == 1
-        assert "time.sleep" in result.findings[0].message
+    # Each direct-call fixture runs as one file (graph cold) and as a
+    # whole tree (graph warm); both must give the same findings.
+    @pytest.mark.parametrize(
+        "target", ["rep009_direct_bad/service/streamy.py", "rep009_direct_bad"]
+    )
+    def test_fires_on_blocking_calls_in_async_defs(self, target):
+        result = lint_fixture(target, rules=["REP009"])
+        assert _rules(result) == ["REP009"]
+        messages = "\n".join(f.message for f in result.findings)
+        assert "time.sleep" in messages
+        assert "open" in messages
+        assert ".read_text()" in messages
+        assert "subprocess.run" in messages
+        assert "requests.get" in messages
+        assert "socket.create_connection" in messages
+        assert len(result.findings) == 6
+        # The sync helper at the bottom stays unflagged.
+        assert "sync_helper_is_fine" not in {
+            f.symbol for f in result.findings
+        }
+
+    @pytest.mark.parametrize(
+        "target", ["rep009_direct_ok/service/streamy.py", "rep009_direct_ok"]
+    )
+    def test_silent_on_direct_executor_idiom(self, target):
+        assert lint_fixture(target, rules=["REP009"]).findings == []
+
+    def test_out_of_scope_files_ignored(self):
+        result = lint_fixture(
+            "rep009_direct_ok/elsewhere/tool.py", rules=["REP009"]
+        )
+        assert result.findings == []
 
     def test_direct_detection_survives_single_file_no_cache(self):
         # One file, cache disabled (lint_fixture never passes a cache

@@ -25,9 +25,7 @@ def tiny_runner(**kwargs) -> GridRunner:
 def run_collect(runner, cells, *, on_error="collect"):
     """Warm, then fan out serially: ``{cell: report or CellFailure}``."""
     runner.warm_artifacts([dataset for _, _, dataset in cells], errors=on_error)
-    return dict(
-        runner.run_cells(cells, jobs=1, executor="thread", on_error=on_error)
-    )
+    return dict(runner.run_cells(cells, jobs=1, on_error=on_error))
 
 
 class TestRetryPolicy:
@@ -202,10 +200,7 @@ class TestRunCellIsolation:
         with pytest.raises(ValueError, match="on_error"):
             list(
                 runner.run_cells(
-                    [("t4", "rgcn", TINY)],
-                    jobs=1,
-                    executor="thread",
-                    on_error="ignore",
+                    [("t4", "rgcn", TINY)], jobs=1, on_error="ignore"
                 )
             )
         with pytest.raises(ValueError, match="errors"):

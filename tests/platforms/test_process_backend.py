@@ -1,7 +1,7 @@
-"""Process-pool execution: bit-identity with serial and thread runs.
+"""Process-pool execution: bit-identity with serial runs.
 
-The multicore contract: picking ``executor="process"`` changes wall
--clock behaviour only. Reports, canonical grid JSON, store bytes and
+The multicore contract: ``jobs > 1`` runs the grid on worker processes
+and changes wall-clock behaviour only. Reports, canonical grid JSON, store bytes and
 delivery semantics (exactly once per cell) are byte-identical to a
 serial run — workers attach the parent's published shared-memory
 artifacts and their results are finalized and persisted in the parent.
@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +24,8 @@ import pytest
 from repro.api import ExperimentSpec, Session
 from repro.models.base import ModelConfig
 from repro.platforms import ArtifactStore, GridRunner, PlatformContext
-from repro.platforms.runner import resolve_executor, resolve_jobs
+from repro.platforms.runner import resolve_jobs
+from repro.service import BackgroundServer
 
 TINY_MODEL = ModelConfig(hidden_dim=16, num_heads=2, embed_dim=8)
 TINY_DATASETS = ("thrash:working_set=48,num_dst=6", "uniform:num_dst=24,degree=2")
@@ -56,23 +60,21 @@ def store_tree(root: Path) -> dict[str, str]:
 
 
 class TestResolvers:
-    def test_explicit_executors_pass_through(self):
-        assert resolve_executor("thread", 8) == "thread"
-        assert resolve_executor("process", 1) == "process"
-
-    def test_auto_is_serial_safe(self):
-        # jobs=1 has nothing to fan out; auto must not pay fork costs.
-        assert resolve_executor("auto", 1) == "thread"
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            resolve_executor("fibers", 4)
-
-    def test_session_validates_executor_eagerly(self):
-        with pytest.raises(ValueError, match="executor"):
-            Session(tiny_spec(), executor="fibers")
-        # "auto" stays symbolic until a fan-out knows its job count.
-        assert Session(tiny_spec(), executor="auto").executor == "auto"
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            Session.__init__,
+            Session.run,
+            Session.run_iter,
+            Session.compute_cells,
+            GridRunner.run_cells,
+            BackgroundServer.__init__,
+        ],
+        ids=lambda fn: fn.__qualname__,
+    )
+    def test_no_executor_option(self, entry_point):
+        # jobs alone picks serial (<= 1) or the process pool (> 1).
+        assert "executor" not in inspect.signature(entry_point).parameters
 
     def test_jobs_accepts_auto_and_numbers(self):
         import os
@@ -95,14 +97,14 @@ class TestRunnerProcessBackend:
         context = PlatformContext(model_config=TINY_MODEL)
         return GridRunner(context, seed=7, scale=1.0)
 
-    def run_all(self, runner, *, jobs, executor):
+    def run_all(self, runner, *, jobs):
         runner.warm_artifacts([c[2] for c in self.CELLS])
-        return list(runner.run_cells(self.CELLS, jobs=jobs, executor=executor))
+        return list(runner.run_cells(self.CELLS, jobs=jobs))
 
     def test_process_grid_equals_serial(self):
-        serial = dict(self.run_all(self.make_runner(), jobs=1, executor="thread"))
+        serial = dict(self.run_all(self.make_runner(), jobs=1))
         worker = self.make_runner()
-        parallel = dict(self.run_all(worker, jobs=2, executor="process"))
+        parallel = dict(self.run_all(worker, jobs=2))
         worker.close()
         assert serial.keys() == parallel.keys()
         for key, report in serial.items():
@@ -112,35 +114,45 @@ class TestRunnerProcessBackend:
 
     def test_run_cells_yields_each_cell_once(self):
         runner = self.make_runner()
-        seen = self.run_all(runner, jobs=2, executor="process")
+        seen = self.run_all(runner, jobs=2)
         runner.close()
         assert sorted(key for key, _ in seen) == sorted(self.CELLS)
 
 
 class TestSessionProcessBackend:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_grid_json_identical_to_serial(self, executor):
+    def test_jobs_alone_fans_out_on_worker_processes(self):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with Session(tiny_spec(), jobs=2) as session:
+            stream = session.run_iter()
+            first = next(stream)
+            # Mid-stream the pool is up: its workers are our children.
+            workers = {
+                child.pid for child in multiprocessing.active_children()
+            } - before
+            rest = list(stream)
+        assert workers and os.getpid() not in workers
+        assert sorted(c.key for c in [first, *rest]) == sorted(tiny_spec().cells())
+
+    def test_parallel_grid_json_identical_to_serial(self):
         with Session(tiny_spec()) as session:
             baseline = canonical(session.run())
-        with Session(tiny_spec(), jobs=4, executor=executor) as session:
+        with Session(tiny_spec(), jobs=4) as session:
             assert canonical(session.run()) == baseline
 
     def test_store_bytes_identical_across_backends(self, tmp_path):
         trees = {}
-        for executor in ("thread", "process"):
-            root = tmp_path / executor
+        for jobs in (1, 2):
+            root = tmp_path / f"jobs{jobs}"
             store = ArtifactStore(root)
-            with Session(
-                tiny_spec(), store=store, jobs=2, executor=executor
-            ) as session:
+            with Session(tiny_spec(), store=store, jobs=jobs) as session:
                 session.run()
-            trees[executor] = store_tree(root)
-        assert trees["thread"] == trees["process"]
-        assert trees["thread"], "store unexpectedly empty"
+            trees[jobs] = store_tree(root)
+        assert trees[1] == trees[2]
+        assert trees[1], "store unexpectedly empty"
 
     def test_process_run_iter_exactly_once(self):
         spec = tiny_spec()
-        with Session(spec, jobs=2, executor="process") as session:
+        with Session(spec, jobs=2) as session:
             seen = [cell.key for cell in session.run_iter()]
         assert sorted(seen) == sorted(spec.cells())
 
@@ -152,7 +164,6 @@ class TestSessionProcessBackend:
             tiny_spec(),
             store=ArtifactStore(store_root),
             jobs=4,
-            executor="process",
         ) as session:
             assert canonical(session.run()) == baseline
 
@@ -173,7 +184,7 @@ spec = ExperimentSpec(
     scale=1.0,
     model_config=ModelConfig(hidden_dim=16, num_heads=2, embed_dim=8),
 )
-with Session(spec, jobs=2, executor="process") as session:
+with Session(spec, jobs=2) as session:
     grid = session.run()
 print(json.dumps(len(grid.cells)))
 """.format(datasets=TINY_DATASETS)

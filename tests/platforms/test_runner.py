@@ -35,10 +35,10 @@ def small_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**params)
 
 
-def run_all(runner, cells, *, jobs=1, executor="thread"):
+def run_all(runner, cells, *, jobs=1):
     """Warm, then fan out: the sequence Session.run_iter drives."""
     runner.warm_artifacts([dataset for _, _, dataset in cells], jobs=jobs)
-    return dict(runner.run_cells(cells, jobs=jobs, executor=executor))
+    return dict(runner.run_cells(cells, jobs=jobs))
 
 
 def report_fingerprint(report):
@@ -92,11 +92,7 @@ class TestGridRunner:
             session.cell("nope", "rgcn", "acm")
         runner = session.runner
         with pytest.raises(ValueError, match="unknown platform"):
-            list(
-                runner.run_cells(
-                    [("nope", "rgcn", "acm")], jobs=1, executor="thread"
-                )
-            )
+            list(runner.run_cells([("nope", "rgcn", "acm")], jobs=1))
         assert not runner._graphs
         assert not session._workspace(session.spec).cells
 

@@ -18,26 +18,33 @@ class TestParser:
         assert args.models == "rgcn"
         assert args.platforms is None
         assert args.jobs == "1"
-        assert args.executor == "thread"
         assert args.no_cache is False
 
     def test_evaluate_new_flags(self):
         args = build_parser().parse_args([
             "evaluate", "--platforms", "t4,hihgnn", "--jobs", "4",
-            "--executor", "process", "--no-cache",
+            "--no-cache",
         ])
         assert args.platforms == "t4,hihgnn"
         assert args.jobs == "4"
-        assert args.executor == "process"
         assert args.no_cache is True
 
     def test_evaluate_jobs_auto(self):
         args = build_parser().parse_args(["evaluate", "--jobs", "auto"])
         assert args.jobs == "auto"
 
-    def test_evaluate_executor_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["evaluate", "--executor", "fibers"])
+    def test_serve_defaults_to_serial(self):
+        args = build_parser().parse_args(["serve"])
+        assert args.jobs == "1"
+        assert not hasattr(args, "executor")
+
+    @pytest.mark.parametrize("command", ["evaluate", "serve"])
+    def test_executor_option_is_gone(self, command, capsys):
+        # --jobs alone picks serial or the process pool.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--executor", "process"])
+        assert exc.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
@@ -105,7 +112,7 @@ class TestCommands:
         ]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        assert main(argv + ["--executor", "process", "--jobs", "2"]) == 0
+        assert main(argv + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
     def test_evaluate_bad_jobs_value(self, capsys):
